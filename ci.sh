@@ -42,6 +42,11 @@
 #                          RAYON_NUM_THREADS in {1, 2, 8}, plus the tiny-scale
 #                          serving-session probe (the probe — and only it —
 #                          is skipped in FAST)
+#   e2e                    the repository benchmark (e2e_bench/): its helper
+#                          tests, then a 1-second untraced run of every
+#                          workload; each run checks every answer bitwise
+#                          against the portable oracle and exits nonzero on
+#                          any mismatch
 #   bench-compile          criterion benches must compile
 #   examples               examples + bins must build
 #   perfsmoke              tiny-scale perf gates: fused GEMM, streamed
@@ -58,7 +63,7 @@ cd "$(dirname "$0")"
 
 FAST="${QGTC_CI_FAST:-0}"
 ONLY="${QGTC_CI_STAGE:-}"
-KNOWN_STAGES="fmt clippy build-release test partition-determinism backend tiling chaos condense serving bench-compile examples perfsmoke benchcheck doc"
+KNOWN_STAGES="fmt clippy build-release test partition-determinism backend tiling chaos condense serving e2e bench-compile examples perfsmoke benchcheck doc"
 
 # Surface the stage menu up front instead of failing silently later: an unknown
 # QGTC_CI_STAGE aborts immediately with the list, and an unset one announces
@@ -235,6 +240,20 @@ serving_stage() {
     fi
 }
 
+e2e_stage() {
+    # The benchmark is a package of its own (see e2e_bench/README.md), so the
+    # workspace stages above never build or test it.  A short run of each
+    # workload is a full end-to-end check: every served answer and every
+    # epoch's cost counters are compared bitwise with the portable oracle.
+    cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+    local workload
+    for workload in epoch-arxiv serve-hot serve-cold; do
+        echo "--- $workload (1 s, untraced)"
+        cargo run --release --offline --quiet --manifest-path e2e_bench/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace 0
+    done
+}
+
 perfsmoke_tiny() {
     # Perf gates (see crates/bench/src/bin/perfsmoke.rs):
     #  * fused GEMM must not be slower than the plane-by-plane composition on
@@ -295,6 +314,7 @@ stage tiling tiling_stage
 stage chaos chaos_stage
 stage condense condense_stage
 stage serving serving_stage
+stage e2e e2e_stage
 stage bench-compile cargo bench --no-run --workspace
 stage examples cargo build --workspace --examples --bins
 if [[ "$FAST" == "1" ]]; then

@@ -28,6 +28,17 @@ pub enum BitMatrixLayout {
     ColPacked,
 }
 
+/// Bit `j` set iff `chunk[j]` is nonzero, for a chunk of at most 32 values.
+#[inline]
+fn nonzero_mask(chunk: &[f32]) -> u32 {
+    let fold = |w: u32, (j, &v): (usize, &f32)| w | u32::from(v != 0.0) << j;
+    match <&[f32; WORD_BITS]>::try_from(chunk) {
+        // The fixed-length loop of a full chunk vectorizes.
+        Ok(full) => full.iter().enumerate().fold(0, fold),
+        Err(_) => chunk.iter().enumerate().fold(0, fold),
+    }
+}
+
 /// One bit plane of a matrix, packed into `u32` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMatrix {
@@ -50,33 +61,58 @@ impl BitMatrix {
     ///
     /// Any nonzero entry is treated as 1.
     pub fn from_dense_f32(dense: &Matrix<f32>, layout: BitMatrixLayout) -> Self {
-        let bits = dense.map(|&v| (v != 0.0) as u8);
-        Self::from_bits(&bits, layout)
+        Self::from_dense_f32_in(dense, layout, Vec::new())
     }
 
-    /// [`BitMatrix::from_dense_f32`] packing into recycled `storage` (see
-    /// [`BitMatrix::from_bits_in`]).
+    /// [`BitMatrix::from_dense_f32`] packing into `storage` — a buffer
+    /// recovered from an earlier plane via [`BitMatrix::into_words`] — instead
+    /// of a fresh allocation.  The buffer is cleared and zero-filled to the
+    /// packed length before any bit is set, so the result is bitwise identical
+    /// to the freshly-allocated path no matter what the recycled buffer held.
+    /// One pass over the floats: each entry's nonzero test goes straight into
+    /// its packed word, with no intermediate 0/1 byte matrix.
     pub fn from_dense_f32_in(
         dense: &Matrix<f32>,
         layout: BitMatrixLayout,
         storage: Vec<u32>,
     ) -> Self {
-        let bits = dense.map(|&v| (v != 0.0) as u8);
-        Self::from_bits_in(&bits, layout, storage)
+        let (rows, cols) = dense.shape();
+        let mut plane = Self::zeroed_in(rows, cols, layout, storage);
+        let words_per_lane = plane.words_per_lane;
+        match layout {
+            BitMatrixLayout::RowPacked => {
+                for r in 0..rows {
+                    let lane = &mut plane.words[r * words_per_lane..(r + 1) * words_per_lane];
+                    for (word, chunk) in lane.iter_mut().zip(dense.row(r).chunks(WORD_BITS)) {
+                        *word = nonzero_mask(chunk);
+                    }
+                }
+            }
+            BitMatrixLayout::ColPacked => {
+                // Row-major walk over the source, OR-ing each nonzero into its
+                // column's lane (the storage starts zeroed).
+                for r in 0..rows {
+                    let word = r / WORD_BITS;
+                    let mask = 1u32 << (r % WORD_BITS);
+                    for (c, &v) in dense.row(r).iter().enumerate() {
+                        if v != 0.0 {
+                            plane.words[c * words_per_lane + word] |= mask;
+                        }
+                    }
+                }
+            }
+        }
+        plane
     }
 
-    /// Pack a 0/1 `u8` matrix as a bit plane. Panics if any entry exceeds 1.
-    pub fn from_bits(bits: &Matrix<u8>, layout: BitMatrixLayout) -> Self {
-        Self::from_bits_in(bits, layout, Vec::new())
-    }
-
-    /// [`BitMatrix::from_bits`] packing into `storage` — a buffer recovered
-    /// from an earlier plane via [`BitMatrix::into_words`] — instead of a
-    /// fresh allocation.  The buffer is cleared and zero-filled to the packed
-    /// length before any bit is set, so the result is bitwise identical to
-    /// the freshly-allocated path no matter what the recycled buffer held.
-    pub fn from_bits_in(bits: &Matrix<u8>, layout: BitMatrixLayout, storage: Vec<u32>) -> Self {
-        let (rows, cols) = bits.shape();
+    /// An all-zero plane of the given logical shape, its packed storage
+    /// recycled from `storage` (cleared and zero-filled to the packed length).
+    pub(crate) fn zeroed_in(
+        rows: usize,
+        cols: usize,
+        layout: BitMatrixLayout,
+        storage: Vec<u32>,
+    ) -> Self {
         let (lanes, words_per_lane) = match layout {
             BitMatrixLayout::RowPacked => (pad8(rows), pad128(cols) / WORD_BITS),
             BitMatrixLayout::ColPacked => (pad8(cols), pad128(rows) / WORD_BITS),
@@ -84,6 +120,27 @@ impl BitMatrix {
         let mut words = storage;
         words.clear();
         words.resize(lanes * words_per_lane, 0);
+        Self {
+            rows,
+            cols,
+            layout,
+            lanes,
+            words_per_lane,
+            words,
+        }
+    }
+
+    /// Mutable packed storage (lane-major), for the crate's packers.
+    pub(crate) fn words_mut(&mut self) -> &mut [u32] {
+        &mut self.words
+    }
+
+    /// Pack a 0/1 `u8` matrix as a bit plane. Panics if any entry exceeds 1.
+    pub fn from_bits(bits: &Matrix<u8>, layout: BitMatrixLayout) -> Self {
+        let (rows, cols) = bits.shape();
+        let mut plane = Self::zeroed_in(rows, cols, layout, Vec::new());
+        let words_per_lane = plane.words_per_lane;
+        let words = &mut plane.words;
         match layout {
             BitMatrixLayout::RowPacked => {
                 for r in 0..rows {
@@ -107,18 +164,11 @@ impl BitMatrix {
                 }
             }
         }
-        Self {
-            rows,
-            cols,
-            layout,
-            lanes,
-            words_per_lane,
-            words,
-        }
+        plane
     }
 
     /// Consume the plane and recover its packed storage for recycling through
-    /// [`BitMatrix::from_bits_in`] — the packed-buffer pool's seam.
+    /// the `*_in` constructors — the packed-buffer pool's seam.
     pub fn into_words(self) -> Vec<u32> {
         self.words
     }
@@ -186,6 +236,19 @@ impl BitMatrix {
             }
         }
         out
+    }
+
+    /// Set bits per logical lane: per row for `RowPacked`, per column for
+    /// `ColPacked` (padding lanes are excluded; padding bits are zero).  On a
+    /// row-packed 0/1 adjacency these are the node degrees.
+    pub fn lane_popcounts(&self) -> Vec<u32> {
+        let logical_lanes = match self.layout {
+            BitMatrixLayout::RowPacked => self.rows,
+            BitMatrixLayout::ColPacked => self.cols,
+        };
+        (0..logical_lanes)
+            .map(|lane| self.lane(lane).iter().map(|w| w.count_ones()).sum())
+            .collect()
     }
 
     /// Number of set bits in the plane (edge count when the plane is an adjacency).

@@ -13,8 +13,7 @@
 //! that downstream layers can dequantize or re-quantize fused with the GEMM epilogue.
 
 use crate::bitmatrix::{BitMatrix, BitMatrixLayout};
-use crate::decompose::{bit_decompose, bit_recompose};
-use crate::pack::{pad128, pad8};
+use crate::pack::{pad128, pad8, WORD_BITS};
 use qgtc_tensor::{Matrix, QuantParams};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,6 +26,75 @@ static UNPACK_OPS: AtomicU64 = AtomicU64::new(0);
 /// deltas of this counter to pin how many unpacks a forward pass is allowed.
 pub fn unpack_ops() -> u64 {
     UNPACK_OPS.load(Ordering::Relaxed)
+}
+
+/// Largest code that fits in `bits` bits.  Panics unless `bits` is in `1..=32`.
+fn max_code(bits: u32) -> u32 {
+    assert!(
+        (1..=32).contains(&bits),
+        "bits must be in 1..=32, got {bits}"
+    );
+    u32::MAX >> (32 - bits)
+}
+
+/// Codes of up to 32 values, zero-padded to a full word's worth.
+#[inline]
+fn code_chunk<T: Copy>(chunk: &[T], code: impl Fn(T) -> u32) -> [u32; WORD_BITS] {
+    let mut codes = [0u32; WORD_BITS];
+    match <&[T; WORD_BITS]>::try_from(chunk) {
+        // The fixed-length loop of a full chunk vectorizes.
+        Ok(full) => {
+            for (slot, &v) in codes.iter_mut().zip(full) {
+                *slot = code(v);
+            }
+        }
+        Err(_) => {
+            for (slot, &v) in codes.iter_mut().zip(chunk) {
+                *slot = code(v);
+            }
+        }
+    }
+    codes
+}
+
+#[inline]
+fn chunk_sum(codes: &[u32; WORD_BITS]) -> i64 {
+    codes.iter().map(|&c| i64::from(c)).sum()
+}
+
+/// Bit-transpose 32 codes: for every plane `p < bits`, call `emit(p, word)`
+/// where bit `j` of `word` is bit `p` of `codes[j]`.
+///
+/// Codes of up to 8 bits go through the byte-gather multiply: with eight
+/// codes as the bytes of a `u64`, `((g >> p) & 0x0101…01) * 0x0102040810204080`
+/// moves bit `p` of byte `i` to bit `56 + i` — every partial product lands on
+/// its own bit position, so nothing carries — and `>> 56` reads out the 8
+/// gathered bits.  Wider codes take the bit-by-bit loop.
+#[inline]
+fn transpose_codes(codes: &[u32; WORD_BITS], bits: u32, mut emit: impl FnMut(usize, u32)) {
+    const BYTE_LSBS: u64 = 0x0101_0101_0101_0101;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    if bits <= 8 {
+        let bytes: [u8; WORD_BITS] = std::array::from_fn(|j| codes[j] as u8);
+        let groups: [u64; 4] = std::array::from_fn(|g| {
+            u64::from_le_bytes(bytes[8 * g..8 * g + 8].try_into().expect("8 bytes"))
+        });
+        for p in 0..bits as usize {
+            let word = groups.iter().enumerate().fold(0u32, |w, (g, &group)| {
+                let gathered = ((group >> p) & BYTE_LSBS).wrapping_mul(GATHER) >> 56;
+                w | (gathered as u32) << (8 * g)
+            });
+            emit(p, word);
+        }
+    } else {
+        for p in 0..bits as usize {
+            let word = codes
+                .iter()
+                .enumerate()
+                .fold(0u32, |w, (j, &c)| w | ((c >> p) & 1) << j);
+            emit(p, word);
+        }
+    }
 }
 
 /// A quantized matrix stored as stacked packed bit planes.
@@ -57,24 +125,73 @@ impl StackedBitMatrix {
     /// spare is popped per plane, falling back to a fresh allocation when the
     /// spare list runs dry.  Recycled storage is zeroed before packing, so the
     /// result is bitwise identical to the freshly-allocated constructor.
+    ///
+    /// Panics if `bits` is outside `1..=32` or any code does not fit in `bits`
+    /// bits.
     pub fn from_codes_in(
         codes: &Matrix<u32>,
         bits: u32,
         layout: BitMatrixLayout,
         spares: &mut Vec<Vec<u32>>,
     ) -> Self {
-        let planes = bit_decompose(codes, bits)
-            .iter()
-            .map(|p| BitMatrix::from_bits_in(p, layout, spares.pop().unwrap_or_default()))
-            .collect();
-        Self {
-            rows: codes.rows(),
-            cols: codes.cols(),
-            bits,
-            layout,
-            planes,
-            quant: None,
+        Self::from_codes_with_rowsums_in(codes, bits, layout, spares).0
+    }
+
+    /// [`StackedBitMatrix::from_codes_in`] that also returns the per-row code
+    /// sums, accumulated in the packing pass.
+    fn from_codes_with_rowsums_in(
+        codes: &Matrix<u32>,
+        bits: u32,
+        layout: BitMatrixLayout,
+        spares: &mut Vec<Vec<u32>>,
+    ) -> (Self, Vec<i64>) {
+        let max = max_code(bits);
+        for &v in codes.data() {
+            assert!(v <= max, "value {v} does not fit in {bits} bits");
         }
+        Self::pack_with(codes, bits, layout, spares, |c| c)
+    }
+
+    /// One-pass quantize-and-pack: quantize `values` under `params` and write
+    /// each code's bits straight into the packed plane words, accumulating the
+    /// per-row code sums in the same loop.  No code matrix and no per-plane
+    /// byte matrix is built.  Returns the stack (remembering `params`) and the
+    /// row sums the next layer's affine correction needs.
+    ///
+    /// Bitwise identical to quantizing with
+    /// `Quantizer::quantize_matrix_u32` and packing the codes with
+    /// [`StackedBitMatrix::from_codes`].
+    pub fn from_f32(
+        values: &Matrix<f32>,
+        params: QuantParams,
+        layout: BitMatrixLayout,
+    ) -> (Self, Vec<i64>) {
+        Self::from_f32_in(values, params, layout, &mut Vec::new())
+    }
+
+    /// [`StackedBitMatrix::from_f32`] drawing plane storage from `spares`
+    /// (see [`StackedBitMatrix::from_codes_in`]).
+    pub fn from_f32_in(
+        values: &Matrix<f32>,
+        params: QuantParams,
+        layout: BitMatrixLayout,
+        spares: &mut Vec<Vec<u32>>,
+    ) -> (Self, Vec<i64>) {
+        let (mut stack, rowsums) = if params.bits <= 24 {
+            let top = params.max_code() as f32;
+            Self::pack_with(values, params.bits, layout, spares, |v| {
+                let q = ((v - params.min) / params.scale).max(0.0).min(top);
+                // SAFETY: `max` and `min` return their non-NaN operand, so `q`
+                // is finite and in `[0, top]`, and `top < 2^24` fits a `u32`.
+                // (The checked cast costs a scalar saturation fix-up per
+                // element; unchecked, the loop vectorizes: ~2x on the packer.)
+                unsafe { q.to_int_unchecked::<u32>() }
+            })
+        } else {
+            Self::pack_with(values, params.bits, layout, spares, |v| params.quantize(v))
+        };
+        stack.quant = Some(params);
+        (stack, rowsums)
     }
 
     /// Build a stack from codes produced by a quantizer, remembering its parameters.
@@ -88,17 +205,78 @@ impl StackedBitMatrix {
         s
     }
 
-    /// [`StackedBitMatrix::from_quantized`] drawing plane storage from
-    /// `spares` (see [`StackedBitMatrix::from_codes_in`]).
-    pub fn from_quantized_in(
-        codes: &Matrix<u32>,
-        params: QuantParams,
+    /// The shared packer: map every element of `values` to its code and OR
+    /// the code's bits into the packed planes, 32 codes (one packed word per
+    /// plane) at a time, summing each row's codes on the way.  `code` must
+    /// return values that fit in `bits` bits.
+    fn pack_with<T: Copy>(
+        values: &Matrix<T>,
+        bits: u32,
         layout: BitMatrixLayout,
         spares: &mut Vec<Vec<u32>>,
-    ) -> Self {
-        let mut s = Self::from_codes_in(codes, params.bits, layout, spares);
-        s.quant = Some(params);
-        s
+        code: impl Fn(T) -> u32,
+    ) -> (Self, Vec<i64>) {
+        max_code(bits); // validates the bitwidth
+        let (rows, cols) = values.shape();
+        let mut planes: Vec<BitMatrix> = (0..bits)
+            .map(|_| BitMatrix::zeroed_in(rows, cols, layout, spares.pop().unwrap_or_default()))
+            .collect();
+        let words_per_lane = match layout {
+            BitMatrixLayout::RowPacked => pad128(cols) / WORD_BITS,
+            BitMatrixLayout::ColPacked => pad128(rows) / WORD_BITS,
+        };
+        let mut rowsums = vec![0i64; rows];
+        let mut emit = |plane: usize, index: usize, word: u32| {
+            planes[plane].words_mut()[index] = word;
+        };
+        match layout {
+            BitMatrixLayout::RowPacked => {
+                // Lane = row: each 32-column chunk of a row is one word per plane.
+                for (r, sum) in rowsums.iter_mut().enumerate() {
+                    for (w, chunk) in values.row(r).chunks(WORD_BITS).enumerate() {
+                        let codes = code_chunk(chunk, &code);
+                        *sum += chunk_sum(&codes);
+                        transpose_codes(&codes, bits, |p, word| {
+                            emit(p, r * words_per_lane + w, word)
+                        });
+                    }
+                }
+            }
+            BitMatrixLayout::ColPacked => {
+                // Lane = column: a tile of 32 rows × up to 32 columns is
+                // quantized row by row (contiguous reads of the source) and
+                // stored transposed; each tile column is then one word per
+                // plane.
+                for (w, r0) in (0..rows).step_by(WORD_BITS).enumerate() {
+                    let tile_rows = (rows - r0).min(WORD_BITS);
+                    for c0 in (0..cols).step_by(WORD_BITS) {
+                        let tile_cols = (cols - c0).min(WORD_BITS);
+                        let mut tile = [[0u32; WORD_BITS]; WORD_BITS];
+                        for k in 0..tile_rows {
+                            let codes = code_chunk(&values.row(r0 + k)[c0..c0 + tile_cols], &code);
+                            rowsums[r0 + k] += chunk_sum(&codes);
+                            for (column, &c) in tile.iter_mut().zip(&codes) {
+                                column[k] = c;
+                            }
+                        }
+                        for (j, column) in tile[..tile_cols].iter().enumerate() {
+                            transpose_codes(column, bits, |p, word| {
+                                emit(p, (c0 + j) * words_per_lane + w, word)
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let stack = Self {
+            rows,
+            cols,
+            bits,
+            layout,
+            planes,
+            quant: None,
+        };
+        (stack, rowsums)
     }
 
     /// Build a 1-bit stack from a dense 0/1 adjacency matrix.
@@ -200,9 +378,7 @@ impl StackedBitMatrix {
         if layout == self.layout {
             return self.clone();
         }
-        let mut repacked = Self::from_codes(&self.to_codes(), self.bits, layout);
-        repacked.quant = self.quant;
-        repacked
+        self.repack_with_rowsums(layout).0
     }
 
     /// [`Self::repack`] that also returns the per-row code sums, paying one
@@ -210,11 +386,8 @@ impl StackedBitMatrix {
     /// affine correction right after a repack (e.g. batched GIN's entry
     /// repack) would otherwise unpack the stack a second time to sum it.
     pub fn repack_with_rowsums(&self, layout: BitMatrixLayout) -> (Self, Vec<i64>) {
-        let codes = self.to_codes();
-        let rowsums = (0..codes.rows())
-            .map(|i| (0..codes.cols()).map(|j| codes[(i, j)] as i64).sum())
-            .collect();
-        let mut repacked = Self::from_codes(&codes, self.bits, layout);
+        let (mut repacked, rowsums) =
+            Self::from_codes_with_rowsums_in(&self.to_codes(), self.bits, layout, &mut Vec::new());
         repacked.quant = self.quant;
         (repacked, rowsums)
     }
@@ -222,8 +395,25 @@ impl StackedBitMatrix {
     /// Reassemble the unsigned code matrix (exact inverse of `from_codes`).
     pub fn to_codes(&self) -> Matrix<u32> {
         UNPACK_OPS.fetch_add(1, Ordering::Relaxed);
-        let dense_planes: Vec<Matrix<u8>> = self.planes.iter().map(BitMatrix::to_dense).collect();
-        bit_recompose(&dense_planes)
+        let (rows, cols) = (self.rows, self.cols);
+        let mut codes: Matrix<u32> = Matrix::zeros(rows, cols);
+        let out = codes.data_mut();
+        // Walk each logical lane's words; lane element `k` is code
+        // `(lane, k)` for row-packed planes and `(k, lane)` for column-packed.
+        let (lanes, lane_len, lane_stride, elem_stride) = match self.layout {
+            BitMatrixLayout::RowPacked => (rows, cols, cols, 1),
+            BitMatrixLayout::ColPacked => (cols, rows, 1, cols),
+        };
+        for (p, plane) in self.planes.iter().enumerate() {
+            for lane in 0..lanes {
+                let words = plane.lane(lane);
+                for k in 0..lane_len {
+                    let bit = (words[k / WORD_BITS] >> (k % WORD_BITS)) & 1;
+                    out[lane * lane_stride + k * elem_stride] |= bit << p;
+                }
+            }
+        }
+        codes
     }
 
     /// Order-sensitive checksum across all planes (see [`BitMatrix::checksum`]).

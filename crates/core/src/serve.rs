@@ -342,7 +342,9 @@ impl<'a> QgtcSession<'a> {
                         buffers[request][start..start + self.num_classes]
                             .copy_from_slice(output.logits.row(batch_row));
                     }
-                    self.pool.put_floats(output.logits.into_data());
+                    // The logits buffer is dropped, not parked in the pool:
+                    // the forward pass allocated it, and a pool that receives
+                    // buffers it never handed out grows without bound.
                 }
                 Err(_) => {
                     // The supervisor already retried/repaired what it could;
@@ -738,6 +740,47 @@ mod tests {
             "warm serving must run entirely on recycled buffers"
         );
         assert!(session.stats().pool.reuses > 0);
+    }
+
+    #[test]
+    fn pool_spare_count_stays_flat_across_over_capacity_drains() {
+        let dataset = tiny_dataset();
+        let config = tiny_config();
+        // Capacity 1 under a plan of several batches: every drain evicts and
+        // re-prepares, exercising every take/put pair of the pool.
+        let mut session = QgtcSession::with_options(
+            &dataset,
+            &config,
+            ServeOptions::default().with_cache_capacity(1),
+        )
+        .unwrap();
+        let nodes = all_nodes(&dataset);
+        let drain_round = |session: &mut QgtcSession<'_>| {
+            for chunk in nodes.chunks(7) {
+                let mut buffer = session.request_buffer();
+                buffer.extend_from_slice(chunk);
+                session.submit(buffer).unwrap();
+            }
+            for response in session.drain().unwrap() {
+                session.recycle_response(response);
+            }
+        };
+        drain_round(&mut session);
+        let warm = session.pool.spare_buffers();
+        let executed = session.stats().batches_executed;
+        for _ in 0..10 {
+            drain_round(&mut session);
+        }
+        assert!(
+            session.stats().batches_executed >= executed + 10,
+            "every round executes batches"
+        );
+        assert!(session.stats().cache_evictions > 0, "over capacity");
+        assert_eq!(
+            session.pool.spare_buffers(),
+            warm,
+            "spare buffers must not grow with executed batches"
+        );
     }
 
     #[test]

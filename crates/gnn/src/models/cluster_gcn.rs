@@ -108,7 +108,6 @@ impl ClusterGcnModel {
                 // drivers reuse a per-epoch set via the prepared-batch path.
                 let weights = QuantizedWeightSet::prepare(&self.params, bits);
                 self.forward_low_bit(
-                    subgraph,
                     &adjacency_stack,
                     None,
                     &packed_features,
@@ -141,7 +140,6 @@ impl ClusterGcnModel {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_low_bit(
         &self,
-        subgraph: &DenseSubgraph,
         adjacency_stack: &StackedBitMatrix,
         condensed_adjacency: Option<&CondensedAdjacency>,
         packed_features: &StackedBitMatrix,
@@ -157,7 +155,7 @@ impl ClusterGcnModel {
         );
         assert_eq!(weights.bits(), bits, "weight set bitwidth");
         assert_eq!(weights.num_layers(), self.params.num_layers());
-        let degrees = row_degrees(&subgraph.adjacency);
+        let degrees = row_degrees(adjacency_stack);
         let num_layers = self.params.num_layers();
         // Epilogues run on the same backend as the GEMMs they are fused into.
         let backend = select_backend(kernel_config.backend);

@@ -132,7 +132,6 @@ impl GnnModel {
             };
             return match self {
                 GnnModel::ClusterGcn(model) => model.forward_low_bit(
-                    &prepared.subgraph,
                     &payload.packed_adjacency,
                     payload.condensed_adjacency.as_ref(),
                     &payload.packed_features,
@@ -142,7 +141,6 @@ impl GnnModel {
                     tracker,
                 ),
                 GnnModel::BatchedGin(model) => model.forward_low_bit(
-                    &prepared.subgraph,
                     &payload.packed_adjacency,
                     payload.condensed_adjacency.as_ref(),
                     &payload.packed_features,
@@ -338,9 +336,25 @@ pub(crate) fn row_normalize(adjacency: &Matrix<f32>) -> Matrix<f32> {
     out
 }
 
-/// Per-row degree (row sums) of a dense adjacency.
-pub(crate) fn row_degrees(adjacency: &Matrix<f32>) -> Vec<f32> {
-    adjacency.rows_iter().map(|row| row.iter().sum()).collect()
+/// Per-row degrees of a batch, read off its packed 1-bit adjacency as
+/// per-lane popcounts — no pass over the dense `n × n` floats.
+///
+/// Bitwise identical to summing the dense 0/1 rows in `f32`: every partial
+/// sum is an integer below 2²⁴, so each addition is exact, and so is the
+/// final conversion of the count.
+pub(crate) fn row_degrees(adjacency: &StackedBitMatrix) -> Vec<f32> {
+    assert_eq!(adjacency.bits(), 1, "a binary adjacency has one plane");
+    assert_eq!(
+        adjacency.layout(),
+        BitMatrixLayout::RowPacked,
+        "degrees are the row-packed lanes' popcounts"
+    );
+    adjacency
+        .plane(0)
+        .lane_popcounts()
+        .into_iter()
+        .map(|d| d as f32)
+        .collect()
 }
 
 #[cfg(test)]
@@ -419,7 +433,32 @@ mod tests {
         assert_eq!(n[(0, 1)], 0.5);
         assert_eq!(n[(2, 0)], 1.0);
         assert_eq!(n[(1, 0)], 0.0);
-        assert_eq!(row_degrees(&adj), vec![2.0, 0.0, 1.0]);
+        let packed = StackedBitMatrix::from_binary_adjacency(&adj, BitMatrixLayout::RowPacked);
+        assert_eq!(row_degrees(&packed), vec![2.0, 0.0, 1.0]);
+    }
+
+    /// The popcount degrees equal the dense f32 row sums bit for bit, across
+    /// the 32-bit word and PAD128 edges and on dense and empty rows.
+    #[test]
+    fn popcount_degrees_are_bitwise_the_dense_row_sums() {
+        use qgtc_tensor::rng::SplitMix64;
+        let mut rng = SplitMix64::new(17);
+        for n in [1usize, 7, 31, 32, 33, 127, 128, 129, 300] {
+            for density in [0.0, 0.05, 0.5, 1.0] {
+                let mut adj = Matrix::zeros(n, n);
+                for v in adj.data_mut() {
+                    if rng.next_f64() < density {
+                        *v = 1.0;
+                    }
+                }
+                let dense: Vec<f32> = adj.rows_iter().map(|row| row.iter().sum()).collect();
+                let packed =
+                    StackedBitMatrix::from_binary_adjacency(&adj, BitMatrixLayout::RowPacked);
+                let popcounts = row_degrees(&packed);
+                let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&popcounts), bits(&dense), "n {n} density {density}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_tcsim::cost::CostTracker;
 use qgtc_tensor::ops::BatchNormParams;
-use qgtc_tensor::{Matrix, QuantParams, Quantizer};
+use qgtc_tensor::{Matrix, QuantParams, RangeTracker};
 
 /// Activation functions QGTC can fuse into the epilogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -230,57 +230,66 @@ impl FusedEpilogue {
     /// Apply the epilogue to an integer accumulator matrix: dequantize with the
     /// affine corrections, then activation / batch norm / re-quantization.
     ///
+    /// Each accumulator row is dequantized, given the scaled addend and
+    /// activated while it sits in L1 (per element, the same operations in the
+    /// same order as separate passes over the matrix, so bitwise identical to
+    /// them), and its range is folded into the re-quantization's calibration.
+    /// The re-quantization then reads the dense scratch once, packing the bit
+    /// planes straight from it.
+    ///
     /// Cost model: the arithmetic itself is `O(rows × cols)` CUDA-core work in both
     /// modes; the unfused mode additionally writes the intermediate to DRAM, reads it
     /// back and launches one extra kernel per stage (activation / BN / quantize).
     pub fn apply(&self, accumulator: &Matrix<i64>, tracker: &CostTracker) -> EpilogueOutput {
+        let (rows, cols) = accumulator.shape();
         let elems = accumulator.len() as u64;
         if let Some(offsets) = &self.row_offset {
-            assert_eq!(offsets.len(), accumulator.rows(), "row-offset length");
+            assert_eq!(offsets.len(), rows, "row-offset length");
         }
         if let Some(offsets) = &self.col_offset {
-            assert_eq!(offsets.len(), accumulator.cols(), "col-offset length");
+            assert_eq!(offsets.len(), cols, "col-offset length");
         }
         if let Some(scales) = &self.row_scale {
-            assert_eq!(scales.len(), accumulator.rows(), "row-scale length");
+            assert_eq!(scales.len(), rows, "row-scale length");
         }
+        self.check_addend_shape(rows, cols);
 
-        // Dequantize with the affine corrections:
-        //   dense[i][j] = (acc · scale + row_offset[i] + col_offset[j]) · row_scale[i]
-        let mut dense: Matrix<f32> = Matrix::zeros(accumulator.rows(), accumulator.cols());
-        let mut flops = elems;
-        for i in 0..accumulator.rows() {
+        // Dequantize with the affine corrections, then addend and activation,
+        // one row at a time (the row stays in L1 between the steps):
+        //   dense[i][j] = act((acc · scale + row_offset[i] + col_offset[j]) · row_scale[i]
+        //                     + addend_scale · addend[i][j])
+        let mut dense: Matrix<f32> = Matrix::zeros(rows, cols);
+        let mut range = self.output_range();
+        for i in 0..rows {
             let row_offset = self.row_offset.as_ref().map_or(0.0, |o| o[i]);
             let row_scale = self.row_scale.as_ref().map_or(1.0, |s| s[i]);
+            let out = dense.row_mut(i);
             let acc_row = accumulator.row(i);
-            let out_row = dense.row_mut(i);
-            for (j, slot) in out_row.iter_mut().enumerate() {
-                let col_offset = self.col_offset.as_ref().map_or(0.0, |o| o[j]);
-                *slot = (acc_row[j] as f32 * self.accumulator_scale + row_offset + col_offset)
-                    * row_scale;
+            let dequantize = |a: i64, col_offset: f32| {
+                (a as f32 * self.accumulator_scale + row_offset + col_offset) * row_scale
+            };
+            match &self.col_offset {
+                Some(col_offsets) => {
+                    for ((slot, &a), &c) in out.iter_mut().zip(acc_row).zip(col_offsets) {
+                        *slot = dequantize(a, c);
+                    }
+                }
+                None => {
+                    for (slot, &a) in out.iter_mut().zip(acc_row) {
+                        *slot = dequantize(a, 0.0);
+                    }
+                }
             }
+            self.finish_row(out, i, &mut range);
         }
+        let mut flops = elems;
         for present in [&self.row_offset, &self.col_offset, &self.row_scale] {
             if present.is_some() {
                 flops += elems;
             }
         }
-        if let Some(addend) = &self.addend {
-            assert_eq!(
-                (addend.rows(), addend.cols()),
-                (accumulator.rows(), accumulator.cols()),
-                "addend shape"
-            );
-            for i in 0..accumulator.rows() {
-                let add_row = addend.row(i);
-                for (slot, &a) in dense.row_mut(i).iter_mut().zip(add_row) {
-                    *slot += self.addend_scale * a;
-                }
-            }
-            flops += 2 * elems; // one multiply and one add per element
-        }
         tracker.record_fp32_flops(flops);
-        self.finish(dense, tracker)
+        self.finish(dense, range, tracker)
     }
 
     /// Apply the epilogue's addend / activation / batch-norm / re-quantization
@@ -291,39 +300,67 @@ impl FusedEpilogue {
     /// do not apply, but the scaled addend (batched GIN's `+ (1+ε)·self` combine
     /// on the dense-TC path), the activation and the re-quantization — the
     /// single quantize site of a layer transition — all live here, mirroring
-    /// [`FusedEpilogue::apply`] stage for stage.  Takes the matrix by value —
-    /// callers that still need the dense activations afterwards clone at the
-    /// call site.
+    /// [`FusedEpilogue::apply`] stage for stage (addend and activation in one
+    /// pass).  Takes the matrix by value — callers that still need the dense
+    /// activations afterwards clone at the call site.
     pub fn apply_dense(&self, mut dense: Matrix<f32>, tracker: &CostTracker) -> EpilogueOutput {
-        if let Some(addend) = &self.addend {
-            assert_eq!(
-                (addend.rows(), addend.cols()),
-                (dense.rows(), dense.cols()),
-                "addend shape"
-            );
-            for i in 0..addend.rows() {
-                let add_row = addend.row(i);
-                for (slot, &a) in dense.row_mut(i).iter_mut().zip(add_row) {
-                    *slot += self.addend_scale * a;
-                }
-            }
-            tracker.record_fp32_flops(2 * dense.len() as u64);
+        self.check_addend_shape(dense.rows(), dense.cols());
+        let mut range = self.output_range();
+        for i in 0..dense.rows() {
+            self.finish_row(dense.row_mut(i), i, &mut range);
         }
-        self.finish(dense, tracker)
+        self.finish(dense, range, tracker)
     }
 
-    /// Shared tail of [`FusedEpilogue::apply`] / [`FusedEpilogue::apply_dense`]:
-    /// activation, optional batch norm, optional re-quantization, plus the
-    /// unfused-execution launch/DRAM accounting.
-    fn finish(&self, mut dense: Matrix<f32>, tracker: &CostTracker) -> EpilogueOutput {
+    fn check_addend_shape(&self, rows: usize, cols: usize) {
+        if let Some(addend) = &self.addend {
+            assert_eq!((addend.rows(), addend.cols()), (rows, cols), "addend shape");
+        }
+    }
+
+    /// The range tracker of the fused pass: present only when the output is
+    /// re-quantized straight from the activations (batch norm re-ranges them).
+    fn output_range(&self) -> Option<RangeTracker> {
+        (self.requantize_bits.is_some() && self.batch_norm.is_none()).then(RangeTracker::new)
+    }
+
+    /// The per-element stages after the dequantize, on row `i` of the dense
+    /// activations: the scaled addend, then the activation, then (when
+    /// re-quantizing) the row's contribution to the output range.
+    fn finish_row(&self, row: &mut [f32], i: usize, range: &mut Option<RangeTracker>) {
+        if let Some(addend) = &self.addend {
+            for (slot, &a) in row.iter_mut().zip(addend.row(i)) {
+                *slot += self.addend_scale * a;
+            }
+        }
+        if self.activation != Activation::None {
+            for slot in row.iter_mut() {
+                *slot = self.activation.apply(*slot);
+            }
+        }
+        if let Some(range) = range {
+            range.observe_slice(row);
+        }
+    }
+
+    /// Shared tail of [`FusedEpilogue::apply`] / [`FusedEpilogue::apply_dense`]
+    /// (which have already applied the activation and, when re-quantizing
+    /// without batch norm, tracked the output `range`): optional batch norm,
+    /// optional one-pass re-quantize-and-pack, plus the unfused-execution
+    /// launch/DRAM accounting.
+    fn finish(
+        &self,
+        mut dense: Matrix<f32>,
+        range: Option<RangeTracker>,
+        tracker: &CostTracker,
+    ) -> EpilogueOutput {
         let elems = dense.len() as u64;
         let rows = dense.rows() as u64;
         let mut stages = 1u64; // dequantize (or combine) + activation is one stage
-
-        for v in dense.data_mut() {
-            *v = self.activation.apply(*v);
+        tracker.record_fp32_flops(elems); // the activation
+        if self.addend.is_some() {
+            tracker.record_fp32_flops(2 * elems); // one multiply and one add per element
         }
-        tracker.record_fp32_flops(elems);
 
         if let Some(bn) = &self.batch_norm {
             dense = qgtc_tensor::ops::batch_norm(&dense, bn)
@@ -335,22 +372,19 @@ impl FusedEpilogue {
         let output = match self.requantize_bits {
             None => EpilogueOutput::Dense(dense),
             Some(bits) => {
-                let quantizer =
-                    Quantizer::calibrate(bits, &dense).expect("bitwidth validated by caller");
-                let codes = quantizer.quantize_matrix_u32(&dense);
-                let code_rowsums = (0..codes.rows())
-                    .map(|i| codes.row(i).iter().map(|&c| c as i64).sum())
-                    .collect();
-                let stack = StackedBitMatrix::from_quantized(
-                    &codes,
-                    quantizer.params(),
-                    self.output_layout,
-                );
+                let (min, max) = match range {
+                    Some(range) if !dense.is_empty() => range.range(),
+                    _ => dense.min_max(),
+                };
+                let params =
+                    QuantParams::from_range(bits, min, max).expect("bitwidth validated by caller");
+                let (stack, code_rowsums) =
+                    StackedBitMatrix::from_f32(&dense, params, self.output_layout);
                 tracker.record_int_ops(elems * bits as u64);
                 stages += 1;
                 EpilogueOutput::Quantized {
                     stack,
-                    params: quantizer.params(),
+                    params,
                     code_rowsums,
                 }
             }
@@ -645,6 +679,72 @@ mod tests {
             unfused_tracker.snapshot().cuda_fp32_flops,
             "the fused form charges the same arithmetic"
         );
+    }
+
+    #[test]
+    fn requantizing_epilogue_equals_the_staged_composition() {
+        // The one-pass epilogue against the composition it fused: one pass
+        // per stage over the whole matrix, then calibrate, quantize to a code
+        // matrix, decompose into byte planes and pack each plane.
+        use qgtc_bitmat::decompose::bit_decompose;
+        use qgtc_bitmat::BitMatrix;
+        use qgtc_tensor::rng::random_uniform_matrix;
+        use qgtc_tensor::Quantizer;
+        let (rows, cols, scale, addend_scale) = (37, 45, 0.013f32, 1.25f32);
+        let acc = random_uniform_matrix(rows, cols, -500.0, 500.0, 3).map(|&v| v as i64);
+        let row_offset: Vec<f32> = (0..rows).map(|i| i as f32 * 0.37 - 5.0).collect();
+        let col_offset: Vec<f32> = (0..cols).map(|j| 2.0 - j as f32 * 0.11).collect();
+        let row_scale: Vec<f32> = (0..rows).map(|i| 1.0 / (1 + i % 5) as f32).collect();
+        let addend = random_uniform_matrix(rows, cols, -3.0, 3.0, 4);
+        let mut dequantized = Matrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                dequantized[(i, j)] =
+                    (acc[(i, j)] as f32 * scale + row_offset[i] + col_offset[j]) * row_scale[i];
+            }
+        }
+        let mut combined = dequantized.clone();
+        for (v, &a) in combined.data_mut().iter_mut().zip(addend.data()) {
+            *v += addend_scale * a;
+        }
+        for activation in [Activation::None, Activation::Relu, Activation::Tanh] {
+            let activated = combined.map(|&v| activation.apply(v));
+            for bits in 1..=8u32 {
+                let quantizer = Quantizer::calibrate(bits, &activated).unwrap();
+                let codes = quantizer.quantize_matrix_u32(&activated);
+                let rowsums: Vec<i64> = (0..rows)
+                    .map(|i| codes.row(i).iter().map(|&c| i64::from(c)).sum())
+                    .collect();
+                for layout in [BitMatrixLayout::RowPacked, BitMatrixLayout::ColPacked] {
+                    let planes: Vec<BitMatrix> = bit_decompose(&codes, bits)
+                        .iter()
+                        .map(|plane| BitMatrix::from_bits(plane, layout))
+                        .collect();
+                    let staged = FusedEpilogue {
+                        activation,
+                        ..FusedEpilogue::requantize_right_operand(1.0, bits)
+                    }
+                    .with_scaled_addend(addend.clone(), addend_scale)
+                    .with_output_layout(layout);
+                    let from_accumulator = FusedEpilogue {
+                        accumulator_scale: scale,
+                        ..staged.clone()
+                    }
+                    .with_row_offset(row_offset.clone())
+                    .with_col_offset(col_offset.clone())
+                    .with_row_scale(row_scale.clone())
+                    .apply(&acc, &CostTracker::new());
+                    let from_dense = staged.apply_dense(dequantized.clone(), &CostTracker::new());
+                    for output in [from_accumulator, from_dense] {
+                        let (stack, params, sums) = output.into_quantized_with_rowsums().unwrap();
+                        let case = format!("{activation:?} {bits}-bit {layout:?}");
+                        assert_eq!(stack.planes(), &planes[..], "{case}");
+                        assert_eq!(params, quantizer.params(), "{case}");
+                        assert_eq!(sums, rowsums, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use qgtc_bitmat::condense::CondensedAdjacency;
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::DenseSubgraph;
 use qgtc_tcsim::cost::CostTracker;
-use qgtc_tensor::{Matrix, Quantizer};
+use qgtc_tensor::{Matrix, QuantParams};
 
 /// Quantize and bit-pack a dense feature matrix exactly as the transfer payload
 /// does: per-batch affine calibration at `feature_bits`, quantization
@@ -37,32 +37,35 @@ pub fn pack_feature_matrix(
     feature_bits: u32,
     layout: BitMatrixLayout,
 ) -> StackedBitMatrix {
-    let quantizer =
-        Quantizer::calibrate(feature_bits, features).expect("feature_bits validated by caller");
-    let codes = quantizer.quantize_matrix_u32(features);
-    StackedBitMatrix::from_quantized(&codes, quantizer.params(), layout)
+    pack_features_in(features, feature_bits, layout, &mut Vec::new())
 }
 
-/// [`pack_feature_matrix`] drawing the code buffer and every plane's word
-/// storage from `pool` — bitwise identical output, zero fresh allocations once
-/// the pool is warm.
+/// [`pack_feature_matrix`] drawing every plane's word storage from `pool` —
+/// bitwise identical output, zero fresh allocations once the pool is warm.
 pub fn pack_feature_matrix_pooled(
     features: &Matrix<f32>,
     feature_bits: u32,
     layout: BitMatrixLayout,
     pool: &mut PackedBufferPool,
 ) -> StackedBitMatrix {
-    let quantizer =
-        Quantizer::calibrate(feature_bits, features).expect("feature_bits validated by caller");
-    let codes = quantizer.quantize_matrix_u32_in(features, pool.take_codes());
-    let stack = StackedBitMatrix::from_quantized_in(
-        &codes,
-        quantizer.params(),
+    pack_features_in(
+        features,
+        feature_bits,
         layout,
         pool.reserve_words(feature_bits as usize),
-    );
-    pool.put_codes(codes.into_data());
-    stack
+    )
+}
+
+/// Calibrate on the batch's range, then quantize and pack in one pass.
+fn pack_features_in(
+    features: &Matrix<f32>,
+    feature_bits: u32,
+    layout: BitMatrixLayout,
+    spares: &mut Vec<Vec<u32>>,
+) -> StackedBitMatrix {
+    let params =
+        QuantParams::calibrate(feature_bits, features).expect("feature_bits validated by caller");
+    StackedBitMatrix::from_f32_in(features, params, layout, spares).0
 }
 
 /// Fixed per-transfer overhead in bytes-equivalent terms: a separate cudaMemcpy has

@@ -32,7 +32,7 @@ pub mod quant;
 pub mod rng;
 
 pub use error::{Result, TensorError};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, RangeTracker};
 pub use quant::{QuantParams, Quantizer};
 
 /// Commonly used items, re-exported for convenience.

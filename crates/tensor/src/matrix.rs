@@ -251,18 +251,71 @@ impl Matrix<f32> {
         self.data.iter().sum()
     }
 
-    /// Minimum and maximum element. Returns `(0.0, 0.0)` for an empty matrix.
+    /// Minimum and maximum element, NaNs ignored. Returns `(0.0, 0.0)` for
+    /// an empty matrix.
     pub fn min_max(&self) -> (f32, f32) {
         if self.is_empty() {
             return (0.0, 0.0);
         }
-        let mut mn = f32::INFINITY;
-        let mut mx = f32::NEG_INFINITY;
-        for &v in &self.data {
-            mn = mn.min(v);
-            mx = mx.max(v);
+        let mut range = RangeTracker::new();
+        range.observe_slice(&self.data);
+        range.range()
+    }
+}
+
+/// Running minimum and maximum of a stream of floats, NaNs ignored (as
+/// `f32::min` / `f32::max` ignore them).
+///
+/// The comparisons are spread over [`RangeTracker::LANES`] independent lanes
+/// so they do not serialise on one dependency chain.  Any assignment of
+/// values to lanes yields the same extremes: the minimum and maximum of a set
+/// do not depend on the order it is scanned in (`f32::min` leaves only the
+/// sign of a zero result unspecified, and no code depends on it).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RangeTracker {
+    min: [f32; Self::LANES],
+    max: [f32; Self::LANES],
+}
+
+impl Default for RangeTracker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl RangeTracker {
+    /// Number of independent lanes.
+    pub const LANES: usize = 8;
+
+    /// A tracker that has seen nothing.
+    pub fn new() -> Self {
+        Self {
+            min: [f32::INFINITY; Self::LANES],
+            max: [f32::NEG_INFINITY; Self::LANES],
         }
-        (mn, mx)
+    }
+
+    /// Fold every value of `values` in, element `j` into lane `j % LANES`.
+    pub fn observe_slice(&mut self, values: &[f32]) {
+        let mut chunks = values.chunks_exact(Self::LANES);
+        for chunk in &mut chunks {
+            for (lane, &v) in chunk.iter().enumerate() {
+                self.min[lane] = self.min[lane].min(v);
+                self.max[lane] = self.max[lane].max(v);
+            }
+        }
+        for (lane, &v) in chunks.remainder().iter().enumerate() {
+            self.min[lane] = self.min[lane].min(v);
+            self.max[lane] = self.max[lane].max(v);
+        }
+    }
+
+    /// `(min, max)` over everything observed; `(+inf, -inf)` when nothing
+    /// (or only NaN) was.
+    pub fn range(&self) -> (f32, f32) {
+        let min = self.min.iter().fold(f32::INFINITY, |a, &b| a.min(b));
+        let max = self.max.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        (min, max)
     }
 }
 
@@ -394,6 +447,27 @@ mod tests {
         assert_eq!(m.sum(), 2.0);
         let empty: Matrix<f32> = Matrix::zeros(0, 0);
         assert_eq!(empty.min_max(), (0.0, 0.0));
+    }
+
+    #[test]
+    fn min_max_ignores_nan_and_matches_a_sequential_scan() {
+        let mut data: Vec<f32> = (0..37).map(|i| ((i * 17) % 23) as f32 - 11.5).collect();
+        data[5] = f32::NAN;
+        data[36] = f32::NAN;
+        let sequential = data
+            .iter()
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(mn, mx), &v| {
+                (mn.min(v), mx.max(v))
+            });
+        let m = Matrix::from_vec(1, 37, data).unwrap();
+        assert_eq!(m.min_max(), sequential);
+        assert_eq!(m.min_max(), (-11.5, 10.5));
+        let all_nan = Matrix::filled(3, 3, f32::NAN);
+        assert_eq!(all_nan.min_max(), (f32::INFINITY, f32::NEG_INFINITY));
+        assert_eq!(
+            RangeTracker::new().range(),
+            (f32::INFINITY, f32::NEG_INFINITY)
+        );
     }
 
     #[test]

@@ -58,17 +58,19 @@ impl QuantParams {
         }
     }
 
-    /// Quantize a single value to its unsigned code.
+    /// Quantize a single value to its unsigned code: `floor((v - min) / scale)`
+    /// clamped to `[0, max_code]`, with NaN mapping to 0.
+    ///
+    /// The float-to-int cast does the floor and the lower clamp in one step:
+    /// `as u32` truncates toward zero (the floor for every non-negative
+    /// quotient, and 0 for every quotient in `(-1, 0)`), saturates negatives
+    /// to 0 and infinities to `u32::MAX`, and maps NaN to 0.  The `min` is the
+    /// upper clamp.  This is bitwise identical to floor-then-clamp (pinned by
+    /// the `quantize_equals_the_floor_clamp_oracle` test) and costs no libm
+    /// call per element.
     #[inline]
     pub fn quantize(&self, v: f32) -> u32 {
-        let code = ((v - self.min) / self.scale).floor();
-        if code <= 0.0 {
-            0
-        } else if code >= self.max_code() as f32 {
-            self.max_code()
-        } else {
-            code as u32
-        }
+        (((v - self.min) / self.scale) as u32).min(self.max_code())
     }
 
     /// Map a code back to the centre of its bucket.
@@ -108,19 +110,12 @@ impl Quantizer {
         x.map(|&v| self.params.quantize(v) as i64)
     }
 
-    /// Quantize a full matrix into `u32` codes (the packing input format).
+    /// Quantize a full matrix into `u32` codes (the bit-decomposition input
+    /// format).  The forward pass packs straight from floats instead (see
+    /// `StackedBitMatrix::from_f32`); this two-step form remains for weights,
+    /// explicit code tensors and as the packers' test oracle.
     pub fn quantize_matrix_u32(&self, x: &Matrix<f32>) -> Matrix<u32> {
         x.map(|&v| self.params.quantize(v))
-    }
-
-    /// [`Quantizer::quantize_matrix_u32`] writing the codes into recycled
-    /// `storage` (cleared first), so sustained callers — the serving layer's
-    /// packed-buffer pool — quantize without a fresh allocation per batch.
-    pub fn quantize_matrix_u32_in(&self, x: &Matrix<f32>, mut storage: Vec<u32>) -> Matrix<u32> {
-        storage.clear();
-        storage.reserve(x.len());
-        storage.extend(x.data().iter().map(|&v| self.params.quantize(v)));
-        Matrix::from_vec(x.rows(), x.cols(), storage).expect("length matches by construction")
     }
 
     /// Dequantize an integer-code matrix back to `f32`.
@@ -153,6 +148,67 @@ pub fn rescale_gemm_output(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-cast formulation of [`QuantParams::quantize`]: explicit floor,
+    /// then clamp to the code range.
+    fn floor_clamp_oracle(p: &QuantParams, v: f32) -> u32 {
+        let code = ((v - p.min) / p.scale).floor();
+        if code <= 0.0 {
+            0
+        } else if code >= p.max_code() as f32 {
+            p.max_code()
+        } else {
+            code as u32
+        }
+    }
+
+    #[test]
+    fn quantize_equals_the_floor_clamp_oracle() {
+        let params = [
+            QuantParams::from_range(1, 0.0, 1.0).unwrap(),
+            QuantParams::from_range(2, -3.5, 7.25).unwrap(),
+            QuantParams::from_range(4, -1.0, 1.0).unwrap(),
+            QuantParams::from_range(8, -0.0, 1e-3).unwrap(),
+            QuantParams::from_range(8, 2.5, 2.5).unwrap(), // degenerate: scale 1
+            QuantParams::from_range(24, -100.0, 100.0).unwrap(),
+            QuantParams::from_range(31, 0.0, 1.0).unwrap(),
+            QuantParams::from_range(32, -1e30, 1e30).unwrap(),
+        ];
+        let mut specials = vec![
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::EPSILON,
+        ];
+        for p in &params {
+            // Every bucket edge and its float neighbours (capped so the
+            // 24- and 32-bit ranges stay quick).
+            for code in (0..=p.max_code().min(4096)).chain([p.max_code()]) {
+                let edge = p.min + code as f32 * p.scale;
+                specials.extend([edge, f32::from_bits(edge.to_bits().wrapping_add(1))]);
+                specials.push(f32::from_bits(edge.to_bits().wrapping_sub(1)));
+            }
+        }
+        // A strided sweep over every sign, exponent and a spread of mantissas.
+        let sweep = (0..=u32::MAX).step_by(4093).map(f32::from_bits);
+        for v in specials.iter().copied().chain(sweep) {
+            for p in &params {
+                assert_eq!(
+                    p.quantize(v),
+                    floor_clamp_oracle(p, v),
+                    "value {v:e} ({:#010x}) under {p:?}",
+                    v.to_bits()
+                );
+            }
+        }
+    }
 
     #[test]
     fn rejects_bad_bitwidths() {
