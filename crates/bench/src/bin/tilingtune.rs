@@ -18,6 +18,12 @@
 //! popcount.  The baseline scheme itself is part of the grid, so a class where
 //! staging does not pay simply keeps the baseline constants.
 //!
+//! Shapes the dispatcher serves with the narrow-K kernel on a body
+//! (`takes_narrow_k_route`: K ≤ 128 bits on AVX-512) ignore the scheme, so
+//! the tuner leaves them out of that body's classes and prints which it left
+//! out; a class with no shape left gets no entry.  At `QGTC_SCALE=tiny` that
+//! is every profile aggregation (K = batch = 128) on the AVX-512 body.
+//!
 //! Usage: `cargo run --release -p qgtc-bench --bin tilingtune`
 //!
 //! * `QGTC_SCALE=tiny|fast|paper` — problem sizes (default `fast`).  `tiny`
@@ -29,8 +35,8 @@
 use qgtc_bench::report::fmt3;
 use qgtc_bitmat::condense::{aggregate_adj_features_condensed, CondensedAdjacency};
 use qgtc_bitmat::fused::{
-    aggregate_adj_features_fused_skip, any_bit_gemm_fused_with_scheme, FusedGemmStats,
-    PopcountBody, TilingScheme,
+    aggregate_adj_features_fused_skip, any_bit_gemm_fused_with_scheme, takes_narrow_k_route,
+    FusedGemmStats, PopcountBody, TilingScheme, NARROW_K_WORDS,
 };
 use qgtc_bitmat::{BitMatrixLayout, StackedBitMatrix};
 use qgtc_graph::DatasetProfile;
@@ -348,8 +354,32 @@ fn main() {
 
     let mut results: Vec<TuneResult> = Vec::new();
     for &body in &bodies {
+        // Shapes the dispatcher serves with the narrow-K kernel on this body
+        // ignore the scheme, so every candidate would time the same kernel.
+        let (narrow, tunable): (Vec<&TuneShape>, Vec<&TuneShape>) = shapes
+            .iter()
+            .partition(|shape| takes_narrow_k_route(&shape.a, body));
+        if !narrow.is_empty() {
+            eprintln!(
+                "  body {:<9} excluded (narrow-K route, K <= {} bits): {}",
+                body.name(),
+                NARROW_K_WORDS * 64,
+                narrow
+                    .iter()
+                    .map(|shape| shape.name.as_str())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            );
+        }
         for &class in &classes {
-            let members: Vec<&TuneShape> = shapes.iter().filter(|s| s.class == class).collect();
+            let members: Vec<&TuneShape> = tunable
+                .iter()
+                .copied()
+                .filter(|s| s.class == class)
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
             let mut baseline_ns = 0u128;
             let mut best: Option<(TilingScheme, u128)> = None;
             for &scheme in &grid {

@@ -45,6 +45,19 @@
 //! index — they only differ in how they traverse the surviving words.  The
 //! returned [`FusedGemmStats`] reports how much popcount work the index
 //! removed.
+//!
+//! # Narrow-K route
+//!
+//! When K fits one PAD128 tile (at most [`NARROW_K_WORDS`] widened words,
+//! i.e. K ≤ 128 bits) the whole reduction is one K tile and all of the work
+//! lies across the output, so a body that vectorizes along K fills at most
+//! two of its eight lanes.  On the AVX-512 body,
+//! [`any_bit_gemm_fused_with_scheme`] therefore serves these shapes with a
+//! kernel that vectorizes across output columns instead (see
+//! [`takes_narrow_k_route`]): B is re-laid out once per call as
+//! `[plane_b][word][column]`, each non-zero A word is broadcast against eight
+//! columns per `VPOPCNTQ`, and all-zero A words are skipped.  The route is
+//! chosen from K alone and ignores the [`TilingScheme`].
 
 use crate::bitmatrix::BitMatrixLayout;
 use crate::stacked::StackedBitMatrix;
@@ -57,6 +70,15 @@ pub const ROW_BLOCK: usize = 8;
 
 /// Output columns produced per micro-kernel step.
 pub const COL_BLOCK: usize = 4;
+
+/// Widened 64-bit K words up to which the AVX-512 body takes the narrow-K
+/// route: K ≤ 128 bits, one PAD128 tile (the K extent of one `bmma` tile).
+pub const NARROW_K_WORDS: usize = 2;
+
+/// Output rows per work item of the narrow-K kernel.  A GEMM with at most
+/// this many rows (a serving batch's 72) runs inline on the calling thread,
+/// without a pool dispatch.
+const NARROW_ROW_BLOCK: usize = 128;
 
 /// A maximal run of non-zero widened A words: `(first_word, word_count)`.
 type Span = (usize, usize);
@@ -369,6 +391,10 @@ pub fn any_bit_gemm_fused_tiled(
 /// [`any_bit_gemm_fused_tiled`] with an explicitly selected popcount body —
 /// the backend layer's entry point, pinning one body per kernel backend.
 ///
+/// Shapes for which [`takes_narrow_k_route`] holds run the narrow-K kernel
+/// whatever the scheme; results and [`FusedGemmStats`] are the same either
+/// way.
+///
 /// # Panics
 ///
 /// Panics if `body` is not available on this host.
@@ -383,6 +409,10 @@ pub fn any_bit_gemm_fused_with_scheme(
         body.is_available(),
         "popcount body {body:?} is not available on this host"
     );
+    #[cfg(target_arch = "x86_64")]
+    if takes_narrow_k_route(a, body) {
+        return fused_gemm_narrow(a, b, skip_zero_words);
+    }
     if scheme.is_baseline() {
         fused_gemm_impl(a, b, skip_zero_words, body)
     } else {
@@ -495,6 +525,141 @@ fn fused_gemm_impl(
     let stats = FusedGemmStats {
         total_words,
         visited_words: visited_words.into_inner(),
+    };
+    (out, stats)
+}
+
+/// Whether [`any_bit_gemm_fused_with_scheme`] serves `a · b` on `body` with
+/// the narrow-K kernel: the AVX-512 body and a left operand whose widened K
+/// extent is at most [`NARROW_K_WORDS`] words (K ≤ 128 bits).  The portable
+/// oracle and the AVX2 body always stay on the scheme's loops.
+pub fn takes_narrow_k_route(a: &StackedBitMatrix, body: PopcountBody) -> bool {
+    body == PopcountBody::Avx512 && a.plane(0).words_per_lane() / 2 <= NARROW_K_WORDS
+}
+
+/// One non-zero widened A word of the current output row, as the narrow-K
+/// kernel consumes it.
+#[derive(Debug, Clone, Copy, Default)]
+struct NarrowWord {
+    /// The word itself.
+    value: u64,
+    /// Its A bit-plane: the base of the `plane_a + plane_b` shift.
+    plane_a: usize,
+    /// Offset of its K word's column run inside one B plane of the narrow
+    /// layout (`word · n8`).
+    b_offset: usize,
+}
+
+/// The narrow-K kernel behind [`takes_narrow_k_route`].
+///
+/// B is re-laid out once per call as `[plane_b][word][column]`, columns
+/// zero-padded to `n8`, a multiple of eight, so one 512-bit load covers eight
+/// output columns of one (B plane, K word).  Per output row, the non-zero
+/// widened A words are listed once (zero words are skipped: the word-level
+/// zero-tile jump), and each is broadcast, ANDed and `VPOPCNTQ`'d against
+/// those loads; the counts are shift-accumulated by `plane_a + plane_b` and
+/// each eight-column block is stored once.  No masked loads, no horizontal
+/// reductions.
+///
+/// `visited_words` in skip mode is the number of non-zero widened A words,
+/// which is exactly what the span index of the other kernels covers, so the
+/// returned [`FusedGemmStats`] equal theirs.  Rows split into blocks of
+/// [`NARROW_ROW_BLOCK`] across the pool; a smaller GEMM runs inline.  The
+/// only per-call allocation besides the output is the narrow B image,
+/// `t · pairs · n8` words: the staged kernel's widened B plus at most seven
+/// zero columns, with no per-work-item A or panel scratch.
+#[cfg(target_arch = "x86_64")]
+fn fused_gemm_narrow(
+    a: &StackedBitMatrix,
+    b: &StackedBitMatrix,
+    skip_zero_words: bool,
+) -> (Matrix<i64>, FusedGemmStats) {
+    validate_fused_operands(a, b);
+    assert!(
+        avx512_popcount_available(),
+        "the narrow-K kernel needs AVX-512 VPOPCNTDQ"
+    );
+    let m = a.rows();
+    let n = b.cols();
+    let mut out: Matrix<i64> = Matrix::zeros(m, n);
+    if m == 0 || n == 0 {
+        return (out, FusedGemmStats::default());
+    }
+    let words = a.plane(0).words_per_lane();
+    debug_assert_eq!(words % 2, 0, "PAD128 guarantees an even word count");
+    let pairs = words / 2;
+    assert!(
+        pairs <= NARROW_K_WORDS,
+        "narrow-K kernel called with {pairs} widened K words"
+    );
+    let s = a.planes().len();
+    let t = b.planes().len();
+
+    let n8 = n.div_ceil(8) * 8;
+    let plane_stride = pairs * n8;
+    let mut b_narrow = vec![0u64; t * plane_stride];
+    for (plane_b, plane) in b.planes().iter().enumerate() {
+        for col in 0..n {
+            for (w, pair) in plane.lane(col)[..words].chunks_exact(2).enumerate() {
+                b_narrow[plane_b * plane_stride + w * n8 + col] =
+                    pair[0] as u64 | ((pair[1] as u64) << 32);
+            }
+        }
+    }
+    let a_planes = a.planes();
+    let b_narrow = &b_narrow;
+
+    // One work item: rows `row_base..` of the output; returns the number of
+    // non-zero widened A words it consumed.
+    let run = |row_base: usize, rows: &mut [i64]| -> u64 {
+        // At most 32 planes × NARROW_K_WORDS words per row.
+        let mut nonzero = [NarrowWord::default(); 32 * NARROW_K_WORDS];
+        let mut visited = 0u64;
+        for (local, out_row) in rows.chunks_mut(n).enumerate() {
+            let mut len = 0;
+            for (plane_a, plane) in a_planes.iter().enumerate() {
+                let lane = &plane.lane(row_base + local)[..words];
+                for (w, pair) in lane.chunks_exact(2).enumerate() {
+                    let value = pair[0] as u64 | ((pair[1] as u64) << 32);
+                    if value != 0 {
+                        nonzero[len] = NarrowWord {
+                            value,
+                            plane_a,
+                            b_offset: w * n8,
+                        };
+                        len += 1;
+                    }
+                }
+            }
+            visited += len as u64;
+            // SAFETY: `fused_gemm_narrow` asserted AVX-512 VPOPCNTDQ above.
+            // `b_narrow` holds `t` planes of `plane_stride = pairs · n8`
+            // words, every `b_offset` is `w · n8` with `w < pairs`, `n8` is a
+            // multiple of eight, and `out_row.len() == n <= n8`.
+            unsafe { narrow_row_avx512(&nonzero[..len], b_narrow, t, plane_stride, out_row) };
+        }
+        visited
+    };
+    let visited = if m <= NARROW_ROW_BLOCK {
+        run(0, out.data_mut())
+    } else {
+        let visited = AtomicU64::new(0);
+        out.data_mut()
+            .par_chunks_mut(NARROW_ROW_BLOCK * n)
+            .enumerate()
+            .for_each(|(block, rows)| {
+                visited.fetch_add(run(block * NARROW_ROW_BLOCK, rows), Ordering::Relaxed);
+            });
+        visited.into_inner()
+    };
+    let total_words = (m * s * pairs) as u64;
+    let stats = FusedGemmStats {
+        total_words,
+        visited_words: if skip_zero_words {
+            visited
+        } else {
+            total_words
+        },
     };
     (out, stats)
 }
@@ -1889,6 +2054,12 @@ unsafe fn panel_popcount1_avx512(a: &[u64], b: &[u64]) -> u64 {
 /// (row, column) instead of once per plane pair — that horizontal reduction
 /// is the latency chain that capped the per-pair staged kernel.  The last
 /// `p_len % 8` words run as one masked vector step.
+///
+/// # Safety
+///
+/// The host must support `avx512f` and `avx512vpopcntdq`.  `a0` and `a1`
+/// must hold `s` lanes of `pairs` words with `p_start + p_len <= pairs`, and
+/// `b` must hold `t` lanes of at least `p_len` words, `b_stride` apart.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
 #[allow(clippy::too_many_arguments)]
@@ -1931,13 +2102,21 @@ unsafe fn panel_accum2_avx512(
                 acc1 = _mm512_add_epi64(acc1, _mm512_sll_epi64(p1, shift));
             }
         }
-        // Tail words (and whole sub-vector panels — e.g. narrow-K shapes
-        // whose widened lanes are shorter than a vector): one masked step.
+        // Tail words (and whole sub-vector panels, e.g. K panels of fewer
+        // than eight words; narrow-K shapes take the narrow route instead):
+        // one masked step.
         if rem > 0 {
             let mask = (1u8 << rem) - 1;
+            debug_assert!(done + rem <= a0_seg.len() && done + rem <= a1_seg.len());
+            // SAFETY: only the `rem` live lanes are read, and
+            // `done + rem == p_len` is the length of both A segments.
             let av0 = _mm512_maskz_loadu_epi64(mask, a0_seg.as_ptr().add(done).cast());
             let av1 = _mm512_maskz_loadu_epi64(mask, a1_seg.as_ptr().add(done).cast());
             for plane_b in 0..t {
+                debug_assert!(plane_b * b_stride + done + rem <= b.len());
+                // SAFETY: lane `plane_b < t` of the panel holds `p_len`
+                // words from `plane_b · b_stride`, so the `rem` live lanes
+                // from `done` end at or before its end.
                 let bv = _mm512_maskz_loadu_epi64(
                     mask,
                     b.as_ptr().add(plane_b * b_stride + done).cast(),
@@ -1956,6 +2135,11 @@ unsafe fn panel_accum2_avx512(
 /// AVX-512 fused skip body over four adjacent tile columns: one span walk
 /// per column quad, four vector accumulators, four horizontal reductions per
 /// call.
+///
+/// # Safety
+///
+/// As [`panel_span_accum_avx512`], for each of the four column lanes
+/// `col_stride` apart.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
 #[allow(clippy::too_many_arguments)]
@@ -2028,11 +2212,20 @@ unsafe fn panel_span_accum4_avx512(
             let rem = seg_len - done;
             if rem > 0 {
                 let mask = (1u8 << rem) - 1;
+                debug_assert!(done + rem <= a_seg.len());
+                // SAFETY: only the `rem` live lanes are read, and
+                // `done + rem == seg_len == a_seg.len()`.
                 let av = _mm512_maskz_loadu_epi64(mask, a_seg.as_ptr().add(done).cast());
                 used = true;
                 for plane_b in 0..t {
                     let base = plane_b * b_stride + b_off + done;
                     let shift = _mm_cvtsi64_si128((plane_a + plane_b) as i64);
+                    debug_assert!(base + 3 * col_stride + rem <= b.len());
+                    // SAFETY: the four column lanes of plane `plane_b < t`
+                    // each cover the panel window `[0, p_len)` from
+                    // `plane_b · b_stride + j · col_stride`, and
+                    // `b_off + done + rem == hi - p_start <= p_len`, so every
+                    // live lane of the four loads below is in bounds.
                     let bv0 = _mm512_maskz_loadu_epi64(mask, b.as_ptr().add(base).cast());
                     let bv1 =
                         _mm512_maskz_loadu_epi64(mask, b.as_ptr().add(base + col_stride).cast());
@@ -2068,6 +2261,13 @@ unsafe fn panel_span_accum4_avx512(
 /// AVX-512 fused skip body: span pieces of eight-plus words run through the
 /// `VPOPCNTQ` vector path with in-vector shifts, shorter pieces through the
 /// scalar fallback; one horizontal reduction per call.
+///
+/// # Safety
+///
+/// The host must support `avx512f` and `avx512vpopcntdq`.  `a` must hold `s`
+/// lanes of `pairs` words, `spans` the in-bounds non-zero spans of each, and
+/// `b` `t` lanes of at least `p_len` words (the panel window
+/// `[p_start, p_start + p_len)`), `b_stride` apart.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
 #[allow(clippy::too_many_arguments)]
@@ -2123,9 +2323,16 @@ unsafe fn panel_span_accum_avx512(
             let rem = seg_len - done;
             if rem > 0 {
                 let mask = (1u8 << rem) - 1;
+                debug_assert!(done + rem <= a_seg.len());
+                // SAFETY: only the `rem` live lanes are read, and
+                // `done + rem == seg_len == a_seg.len()`.
                 let av = _mm512_maskz_loadu_epi64(mask, a_seg.as_ptr().add(done).cast());
                 used = true;
                 for plane_b in 0..t {
+                    debug_assert!(plane_b * b_stride + b_off + done + rem <= b.len());
+                    // SAFETY: lane `plane_b < t` covers the panel window
+                    // `[0, p_len)` from `plane_b · b_stride`, and
+                    // `b_off + done + rem == hi - p_start <= p_len`.
                     let bv = _mm512_maskz_loadu_epi64(
                         mask,
                         b.as_ptr().add(plane_b * b_stride + b_off + done).cast(),
@@ -2141,6 +2348,103 @@ unsafe fn panel_span_accum_avx512(
         tot += _mm512_reduce_add_epi64(acc);
     }
     tot
+}
+
+/// AVX-512 body of the narrow-K kernel: one output row.  `nonzero` lists the
+/// row's non-zero widened A words; `b` is the narrow B image of
+/// [`fused_gemm_narrow`], B planes `plane_stride` words apart.  Column
+/// blocks of eight run four at a time (one broadcast of each A word feeds
+/// four accumulators), then the remaining one to three blocks.
+///
+/// # Safety
+///
+/// The host must support `avx512f` and `avx512vpopcntdq`.  `b` must hold at
+/// least `t · plane_stride` words, and for every entry of `nonzero`,
+/// `b_offset + out_row.len().div_ceil(8) · 8 <= plane_stride`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn narrow_row_avx512(
+    nonzero: &[NarrowWord],
+    b: &[u64],
+    t: usize,
+    plane_stride: usize,
+    out_row: &mut [i64],
+) {
+    let blocks = out_row.len().div_ceil(8);
+    let mut block = 0;
+    while block + 4 <= blocks {
+        narrow_blocks_avx512::<4>(nonzero, b, t, plane_stride, block * 8, out_row);
+        block += 4;
+    }
+    match blocks - block {
+        0 => {}
+        1 => narrow_blocks_avx512::<1>(nonzero, b, t, plane_stride, block * 8, out_row),
+        2 => narrow_blocks_avx512::<2>(nonzero, b, t, plane_stride, block * 8, out_row),
+        _ => narrow_blocks_avx512::<3>(nonzero, b, t, plane_stride, block * 8, out_row),
+    }
+}
+
+/// `BLOCKS` adjacent eight-column blocks of one narrow-K output row, starting
+/// at column `col`: each accumulator holds eight columns' shift-accumulated
+/// counts and is stored once.  A block reaching past `out_row.len()` (the
+/// zero-padded column tail) stores only its live columns.
+///
+/// # Safety
+///
+/// As [`narrow_row_avx512`], with `col` a multiple of eight and
+/// `col + 8 · (BLOCKS - 1) < out_row.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+#[inline]
+unsafe fn narrow_blocks_avx512<const BLOCKS: usize>(
+    nonzero: &[NarrowWord],
+    b: &[u64],
+    t: usize,
+    plane_stride: usize,
+    col: usize,
+    out_row: &mut [i64],
+) {
+    use std::arch::x86_64::{
+        _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_popcnt_epi64,
+        _mm512_set1_epi64, _mm512_setzero_si512, _mm512_sll_epi64, _mm512_storeu_si512,
+        _mm_cvtsi64_si128,
+    };
+    let mut acc = [_mm512_setzero_si512(); BLOCKS];
+    for word in nonzero {
+        let av = _mm512_set1_epi64(word.value as i64);
+        for plane_b in 0..t {
+            let base = plane_b * plane_stride + word.b_offset + col;
+            let shift = _mm_cvtsi64_si128((word.plane_a + plane_b) as i64);
+            for (j, acc) in acc.iter_mut().enumerate() {
+                let at = base + 8 * j;
+                debug_assert!(
+                    word.b_offset + col + 8 * j + 8 <= plane_stride && at + 8 <= b.len(),
+                    "narrow B load at {at} past plane {plane_b} (stride {plane_stride}, len {})",
+                    b.len()
+                );
+                // SAFETY: `at + 8 <= b.len()`: the block's eight columns lie
+                // inside the padded `n8` columns of K word `b_offset / n8`,
+                // which lie inside B plane `plane_b < t` (the caller's
+                // contract), and `b` holds `t · plane_stride` words.
+                let bv = _mm512_loadu_si512(b.as_ptr().add(at).cast());
+                let count = _mm512_popcnt_epi64(_mm512_and_si512(av, bv));
+                *acc = _mm512_add_epi64(*acc, _mm512_sll_epi64(count, shift));
+            }
+        }
+    }
+    for (j, acc) in acc.iter().enumerate() {
+        let start = col + 8 * j;
+        if start + 8 <= out_row.len() {
+            // SAFETY: `start + 8 <= out_row.len()`, checked just above.
+            _mm512_storeu_si512(out_row.as_mut_ptr().add(start).cast(), *acc);
+        } else {
+            let mut lanes = [0i64; 8];
+            // SAFETY: `lanes` is eight `i64`s, one 512-bit store.
+            _mm512_storeu_si512(lanes.as_mut_ptr().cast(), *acc);
+            let live = out_row.len() - start;
+            out_row[start..].copy_from_slice(&lanes[..live]);
+        }
+    }
 }
 
 #[cfg(test)]

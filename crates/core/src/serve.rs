@@ -435,6 +435,11 @@ impl<'a> QgtcSession<'a> {
         };
         let result = supervise_dispatch(&self.ctx, self.injector.as_ref(), index)
             .map(|()| execute_batch(&self.ctx, &prepared, &mut self.state));
+        // A session reads only the cumulative tracker.  The per-batch lists an
+        // epoch report is built from would grow by one entry per executed
+        // batch for the session's whole life.
+        self.state.batch_costs.clear();
+        self.state.batch_sparsity.clear();
         self.store_cache(index, prepared);
         let output = result?.expect("serving batches are non-empty: a node routed here");
         self.stats.batches_executed += 1;
@@ -780,6 +785,29 @@ mod tests {
             session.pool.spare_buffers(),
             warm,
             "spare buffers must not grow with executed batches"
+        );
+    }
+
+    #[test]
+    fn per_batch_epoch_lists_stay_empty_across_drains() {
+        let dataset = tiny_dataset();
+        let config = tiny_config();
+        let mut session = QgtcSession::new(&dataset, &config).unwrap();
+        let nodes = all_nodes(&dataset);
+        for _ in 0..3 {
+            for response in nodes
+                .chunks(5)
+                .map(|chunk| session.infer(chunk).unwrap())
+                .collect::<Vec<_>>()
+            {
+                session.recycle_response(response);
+            }
+        }
+        assert!(session.stats().batches_executed > 3);
+        assert!(session.cost_snapshot().kernel_launches > 0);
+        assert!(
+            session.state.batch_costs.is_empty() && session.state.batch_sparsity.is_empty(),
+            "a session must not keep one entry per executed batch"
         );
     }
 

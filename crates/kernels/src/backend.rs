@@ -28,9 +28,9 @@
 //! `QgtcConfig::backend`): `Auto` resolves to the fastest available compute
 //! body — AVX-512 when the host has it, portable otherwise — and can be
 //! overridden with the `QGTC_BACKEND` environment variable (`portable`,
-//! `avx512`, `modeled-tc`).  An unavailable override falls back to the auto
-//! order; the modeled backend is never auto-selected because its census walk
-//! adds pure overhead when nobody reads the tracker.
+//! `avx512`, `modeled-tc`; an unknown name panics).  An unavailable override
+//! falls back to the auto order; the modeled backend is never auto-selected
+//! because its census walk adds pure overhead when nobody reads the tracker.
 
 use crate::bmm::{record_condensed_walk, record_tile_walk, KernelConfig, ACC_TILE_BYTES};
 use crate::fusion::{EpilogueOutput, FusedEpilogue};
@@ -532,13 +532,26 @@ fn modeled_tc() -> &'static ModeledTcBackend {
     MODELED.get_or_init(ModeledTcBackend::rtx3090)
 }
 
+/// Parse a `QGTC_BACKEND` value, or say why it is not one, naming the valid
+/// backends.
+fn parse_backend_override(raw: &str) -> Result<BackendChoice, String> {
+    BackendChoice::from_name(raw).ok_or_else(|| {
+        format!("QGTC_BACKEND={raw:?} is not a valid backend (auto|portable|avx512|modeled-tc)")
+    })
+}
+
 /// The `QGTC_BACKEND` environment override, read once per process.
+///
+/// # Panics
+///
+/// Panics on an unknown backend name — a typoed override silently falling
+/// back to the auto order would invalidate a benchmark run.
 fn env_override() -> Option<BackendChoice> {
     static OVERRIDE: OnceLock<Option<BackendChoice>> = OnceLock::new();
     *OVERRIDE.get_or_init(|| {
         std::env::var("QGTC_BACKEND")
             .ok()
-            .and_then(|raw| BackendChoice::from_name(&raw))
+            .map(|raw| parse_backend_override(&raw).unwrap_or_else(|err| panic!("{err}")))
     })
 }
 
@@ -632,6 +645,18 @@ mod tests {
             Some(BackendChoice::ModeledTc)
         );
         assert_eq!(BackendChoice::from_name("cuda"), None);
+    }
+
+    #[test]
+    fn backend_override_rejects_unknown_names_listing_the_valid_ones() {
+        assert_eq!(parse_backend_override("AVX512"), Ok(BackendChoice::Avx512));
+        for bad in ["avx-512", "cuda", "", " portable"] {
+            let err = parse_backend_override(bad).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            for name in ["auto", "portable", "avx512", "modeled-tc"] {
+                assert!(err.contains(name), "{err}");
+            }
+        }
     }
 
     #[test]
